@@ -419,9 +419,9 @@ func serveCold(dir string, minsup int64, cuboid string, limit int, stats bool) {
 	}
 	if stats {
 		cm := cold.Metrics()
-		fmt.Printf("cold cache: %d queries, %d hits, %d ancestor aggs, %d cold scans, %d/%d budget bytes in %d cuboids\n",
+		fmt.Printf("cold cache: %d queries, %d hits, %d ancestor aggs, %d cold scans, %d/%d budget bytes in %d cuboids, %d evictions\n",
 			cm.Queries, cm.CacheHits, cm.AncestorAggregations, cm.ColdScans,
-			cm.ResidentBytes, cm.BudgetBytes, cm.ResidentCuboids)
+			cm.ResidentBytes, cm.BudgetBytes, cm.ResidentCuboids, cm.Evictions)
 		fmt.Printf("cold io: %d blocks read, %d skipped by zone maps, %d read calls, %.1f KB, %.3fs\n",
 			cm.IO.BlocksScanned, cm.IO.BlocksSkipped, cm.IO.ReadCalls, float64(cm.IO.BytesRead)/1024, cm.IO.ReadSeconds)
 	}

@@ -60,14 +60,12 @@ func recoverMaterialized(ds *Dataset, dims []string, fsys wal.FS, dir string, op
 		return nil, err
 	}
 	attrs := make([]string, len(idx))
-	pos := make(map[string]int, len(idx))
 	ext := make([]extDim, len(idx))
 	for i, d := range idx {
 		attrs[i] = ds.rel.Name(d)
-		pos[attrs[i]] = i
 		ext[i] = extDim{base: ds.rel.Card(d), codes: make(map[string]uint32)}
 	}
-	m := &Materialized{ds: ds, dims: idx, attrs: attrs, pos: pos, ext: ext}
+	m := &Materialized{servedDims: newServedDims(attrs), ds: ds, dims: idx, ext: ext}
 	cube, err := ingest.Recover(fsys, dir, 0, opt, func(payload []byte) error {
 		p, code, val, err := decodeDictExt(payload)
 		if err != nil {

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"icebergcube/internal/agg"
@@ -43,42 +42,6 @@ func flushWorkload(rel *relation.Relation, dims []int) (*segment.Table, wal.FS, 
 	return tab, fsys, err
 }
 
-// expColdTable adapts a segment table to serve.ColdSource, accumulating
-// the measured I/O of every scan.
-type expColdTable struct {
-	tab *segment.Table
-	mu  sync.Mutex
-	io  segment.IOStats
-}
-
-func (c *expColdTable) Width() int { return len(c.tab.Names()) }
-func (c *expColdTable) Rows() int  { return int(c.tab.Rows()) }
-
-func (c *expColdTable) Scan(dims []int, yield func(cols [][]uint32, meas []float64) error) error {
-	var st segment.IOStats
-	cols := dims
-	if cols == nil {
-		cols = []int{}
-	}
-	dense := make([][]uint32, len(dims))
-	err := c.tab.Scan(segment.ScanOptions{Cols: cols, Meas: true, Stats: &st}, func(ch *segment.Chunk) error {
-		for i, d := range dims {
-			dense[i] = ch.Cols[d]
-		}
-		return yield(dense, ch.Meas)
-	})
-	c.mu.Lock()
-	c.io.Add(st)
-	c.mu.Unlock()
-	return err
-}
-
-func (c *expColdTable) stats() segment.IOStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.io
-}
-
 // sameCuboid verifies two served cuboids carry identical cells (both
 // sides emit sorted row-major keys).
 func sameCuboid(a, b *serve.Cuboid) error {
@@ -113,12 +76,12 @@ func Segment(c Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	src := &expColdTable{tab: tab}
+	src := segment.NewSource(tab)
 	cards := make([]int, len(dims))
 	for i, d := range dims {
 		cards[i] = rel.Card(d)
 	}
-	cold, err := serve.NewColdServer(src, cards, int64(c.CacheMB)<<20)
+	cold, err := serve.NewSourceServer(src, cards, int64(c.CacheMB)<<20)
 	if err != nil {
 		return nil, err
 	}
@@ -193,7 +156,7 @@ func Segment(c Config) (*Table, error) {
 		if _, _, err := cold.Query(amask); err != nil {
 			return nil, err
 		}
-		ioBefore := src.stats().BytesRead
+		ioBefore := src.IOStats().BytesRead
 		us, err = timeIt(10, func() error {
 			cold.Invalidate(qmask)
 			_, st, err := cold.Query(qmask)
@@ -205,7 +168,7 @@ func Segment(c Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if got := src.stats().BytesRead; got != ioBefore {
+		if got := src.IOStats().BytesRead; got != ioBefore {
 			return nil, fmt.Errorf("exp: arity %d ancestor aggregation read %d bytes from the store", k, got-ioBefore)
 		}
 		t.Series[2].Points = append(t.Series[2].Points, Point{X: float64(k), Y: us})
@@ -241,7 +204,7 @@ func Segment(c Config) (*Table, error) {
 		}
 	}
 
-	io := src.stats()
+	io := src.IOStats()
 	m := cold.Stats()
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("segment table: %d rows × %d dims, %d KB on disk, block %d rows",

@@ -60,10 +60,7 @@ func (w warmBackend) AnswerEach(ctx context.Context, groupBy []string, minSuppor
 	return st.Version, nil
 }
 
-func (w warmBackend) Derivations() int64 {
-	cm := w.m.CacheMetrics()
-	return cm.LeafAggregations + cm.AncestorAggregations
-}
+func (w warmBackend) Derivations() int64 { return derivations(w.m.CacheMetrics()) }
 
 func (w warmBackend) ResetCache() { w.m.ResetCache() }
 
@@ -94,9 +91,12 @@ func (cb coldBackend) AnswerEach(ctx context.Context, groupBy []string, minSuppo
 	return 0, err
 }
 
-func (cb coldBackend) Derivations() int64 {
-	m := cb.c.Metrics()
-	return m.ColdScans + m.AncestorAggregations
+func (cb coldBackend) Derivations() int64 { return derivations(cb.c.Metrics()) }
+
+// derivations is a tier's foreground cuboid computations: leaf
+// aggregations, ancestor aggregations and cold scans.
+func derivations(cm icebergcube.CacheMetrics) int64 {
+	return cm.LeafAggregations + cm.AncestorAggregations + cm.ColdScans
 }
 
 func (cb coldBackend) ResetCache() { cb.c.ResetCache() }

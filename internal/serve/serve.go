@@ -1,14 +1,19 @@
-// Package serve is the lattice-aware online serving layer over a
-// materialized finest cuboid (§5.1). Instead of rescanning every leaf
-// cell per query — O(leaf) work however coarse the group-by — it keeps a
-// registry of resident cuboids keyed by lattice.Mask and answers each
-// query from the smallest resident ancestor (Gray et al.'s cube-lattice
-// observation: any cuboid is derivable from any superset cuboid by
-// further aggregation). Computed cuboids are admitted into a
-// byte-budgeted cache, so repeated and nearby query shapes amortize to
-// near-lookup cost; the leaf itself is pinned outside the cache and never
-// evicted. Concurrent identical misses are coalesced so each cuboid is
-// computed once (singleflight).
+// Package serve is the lattice-aware online serving layer over the
+// finest cuboid (§5.1). Instead of rescanning every leaf cell per query —
+// O(leaf) work however coarse the group-by — it keeps a registry of
+// resident cuboids keyed by lattice.Mask and answers each query from the
+// smallest resident ancestor (Gray et al.'s cube-lattice observation: any
+// cuboid is derivable from any superset cuboid by further aggregation).
+// Computed cuboids are admitted into a byte-budgeted cache, so repeated
+// and nearby query shapes amortize to near-lookup cost. Concurrent
+// identical misses are coalesced so each cuboid is computed once
+// (singleflight).
+//
+// The leaf is either pinned in memory — outside the cache, never
+// evicted, an ancestor of every query — or left in a columnar Source
+// (the segment tier). The two differ only in the fallback for a miss no
+// cached ancestor covers: aggregate the pinned leaf, or stream the
+// queried columns from the source.
 //
 // Residency is governed by one of two policies. The default LRU admits
 // every computed cuboid and evicts by recency. The adaptive policy
@@ -42,16 +47,21 @@ type QueryStats struct {
 	// Query is the requested group-by.
 	Query lattice.Mask
 	// ServedFrom is the resident cuboid the answer came from: Query
-	// itself on a cache hit, else the smallest resident ancestor that was
-	// aggregated.
+	// itself on a cache hit or a source scan, else the smallest resident
+	// ancestor that was aggregated.
 	ServedFrom lattice.Mask
 	// CacheHit reports the answer was already resident (no aggregation).
 	CacheHit bool
 	// Coalesced reports this query waited on an identical in-flight miss
 	// instead of computing its own copy.
 	Coalesced bool
-	// CellsScanned is the number of ancestor cells aggregated (0 on a
-	// hit).
+	// ColdScan reports the answer was streamed from the source (no
+	// resident ancestor covered the query); RowsScanned counts the source
+	// rows it read.
+	ColdScan    bool
+	RowsScanned int64
+	// CellsScanned is the number of ancestor cells aggregated (0 on a hit
+	// or a source scan).
 	CellsScanned int
 	// ResultCells is the answer cuboid's cell count.
 	ResultCells int
@@ -63,7 +73,11 @@ type QueryStats struct {
 
 // Metrics are the server's cumulative counters.
 type Metrics struct {
-	// Queries is the total number of Query calls.
+	// Queries counts the calls that passed the entry checks (a valid mask
+	// and a live context). Each lands in exactly one of CacheHits,
+	// Coalesced, Computes and Canceled, so at quiescence Queries =
+	// CacheHits + Coalesced + Computes + Canceled, less the calls whose
+	// context had already ended at entry: those count in Canceled only.
 	Queries int64
 	// CacheHits counts queries answered from a resident cuboid (leaf
 	// included) without aggregation.
@@ -71,13 +85,16 @@ type Metrics struct {
 	// Coalesced counts queries that piggybacked on an identical
 	// in-flight miss.
 	Coalesced int64
-	// Computes counts foreground aggregations performed (cache misses
+	// Computes counts foreground derivations performed (cache misses
 	// that did work; background fills are counted separately).
 	Computes int64
-	// LeafAggregations / AncestorAggregations split Computes by source:
-	// the pinned leaf vs a smaller cached ancestor.
+	// LeafAggregations / AncestorAggregations / ColdScans split Computes
+	// by source: the pinned leaf, a smaller cached ancestor, or a scan of
+	// the source. RowsScanned totals the source rows streamed.
 	LeafAggregations     int64
 	AncestorAggregations int64
+	ColdScans            int64
+	RowsScanned          int64
 	// Admitted / Rejected / Evictions are cache admission-control
 	// counters; EvictedBytes totals the evicted cuboids' footprint.
 	Admitted     int64
@@ -94,7 +111,7 @@ type Metrics struct {
 	Replans int64
 	// Canceled counts queries abandoned by context cancellation before an
 	// answer was produced (at entry, while waiting on a coalesced flight,
-	// or before becoming the flight leader).
+	// before becoming the flight leader, or mid-scan).
 	Canceled int64
 	// ResidentBytes / ResidentCuboids describe the cache's current
 	// occupancy (the pinned leaf is excluded). ResidentBytes ≤
@@ -103,17 +120,21 @@ type Metrics struct {
 	ResidentCuboids int
 	// BudgetBytes is the configured cache budget.
 	BudgetBytes int64
-	// LeafBytes is the pinned leaf's footprint (not budgeted).
+	// LeafBytes is the pinned leaf's footprint (not budgeted; 0 for a
+	// source-backed server).
 	LeafBytes int64
 	// Policy names the active admission policy ("lru" or "adaptive").
 	Policy string
 }
 
-// Server answers group-by queries over one materialized leaf cuboid.
-// Safe for concurrent use.
+// Server answers group-by queries over one leaf cuboid, pinned in memory
+// or left in a Source. Safe for concurrent use.
 type Server struct {
+	// Exactly one of leaf and src is set.
 	leaf  *Cuboid
-	cards []int // per leaf column: code cardinality, for radix sizing
+	src   Source
+	full  lattice.Mask // every leaf dimension
+	cards []int        // per leaf column: code cardinality, for radix sizing
 	cache *cache
 	stats *statsTable
 
@@ -143,39 +164,67 @@ type Server struct {
 	// testBeforeAdmit, when set, runs between a miss's aggregation and
 	// its cache admission — the window the generation guard protects.
 	// Tests use it to interleave Reset/Invalidate/SetBudget
-	// deterministically with an in-flight computation.
+	// deterministically with an in-flight computation. testOnWait, when
+	// set, runs as a query starts waiting on another query's flight.
 	testBeforeAdmit func()
+	testOnWait      func()
 
-	queries    atomic.Int64
-	hits       atomic.Int64
-	coalesced  atomic.Int64
-	canceled   atomic.Int64
-	leafAggs   atomic.Int64
-	ancAggs    atomic.Int64
-	bgFills    atomic.Int64
-	bgAdmitted atomic.Int64
-	replans    atomic.Int64
+	queries     atomic.Int64
+	hits        atomic.Int64
+	coalesced   atomic.Int64
+	canceled    atomic.Int64
+	leafAggs    atomic.Int64
+	ancAggs     atomic.Int64
+	coldScans   atomic.Int64
+	rowsScanned atomic.Int64
+	bgFills     atomic.Int64
+	bgAdmitted  atomic.Int64
+	replans     atomic.Int64
 }
 
 // flight is one in-progress cuboid computation; duplicate queriers wait
-// on done and share the result.
+// on done and share the result. abandoned reports the computation failed
+// only because its leader's context ended — an error no waiter inherits.
 type flight struct {
-	done  chan struct{}
-	cub   *Cuboid
-	stats QueryStats
+	done      chan struct{}
+	cub       *Cuboid
+	stats     QueryStats
+	err       error
+	abandoned bool
 }
 
-// NewServer builds a server over a leaf cuboid with the default LRU
-// policy. cards gives the code cardinality of each leaf column (used to
-// size radix passes and the planner's size estimates); budgetBytes ≤ 0
+// NewServer builds a server over a pinned leaf cuboid with the default
+// LRU policy. cards gives the code cardinality of each leaf column (used
+// to size radix passes and the planner's size estimates); budgetBytes ≤ 0
 // selects DefaultBudgetBytes. Use SetPolicy to switch to the adaptive
 // policy.
 func NewServer(leaf *Cuboid, cards []int, budgetBytes int64) *Server {
+	return newServer(leaf, nil, leaf.Mask, cards, budgetBytes)
+}
+
+// NewSourceServer builds a server that leaves the leaf in src: a miss no
+// resident ancestor covers streams just the queried columns, so peak
+// memory is the cache plus one result — never the leaf. cards and
+// budgetBytes are as for NewServer.
+func NewSourceServer(src Source, cards []int, budgetBytes int64) (*Server, error) {
+	w := src.Width()
+	if w != len(cards) {
+		return nil, fmt.Errorf("serve: source has %d dims but %d cardinalities", w, len(cards))
+	}
+	if w <= 0 || w >= 32 {
+		return nil, fmt.Errorf("serve: source width %d out of range", w)
+	}
+	return newServer(nil, src, lattice.Mask(1)<<uint(w)-1, cards, budgetBytes), nil
+}
+
+func newServer(leaf *Cuboid, src Source, full lattice.Mask, cards []int, budgetBytes int64) *Server {
 	if budgetBytes <= 0 {
 		budgetBytes = DefaultBudgetBytes
 	}
 	s := &Server{
 		leaf:     leaf,
+		src:      src,
+		full:     full,
 		cards:    append([]int(nil), cards...),
 		cache:    newCache(budgetBytes),
 		stats:    newStatsTable(),
@@ -187,8 +236,20 @@ func NewServer(leaf *Cuboid, cards []int, budgetBytes int64) *Server {
 	return s
 }
 
-// Leaf returns the pinned leaf cuboid.
+// Leaf returns the pinned leaf cuboid (nil for a source-backed server).
 func (s *Server) Leaf() *Cuboid { return s.leaf }
+
+// pinned reports whether q is the pinned leaf's mask: answered by the
+// leaf itself, never cached.
+func (s *Server) pinned(q lattice.Mask) bool { return s.leaf != nil && q == s.full }
+
+// leafRows is the leaf's cell count, or the source's row count.
+func (s *Server) leafRows() int {
+	if s.leaf != nil {
+		return s.leaf.Rows()
+	}
+	return s.src.Rows()
+}
 
 // SetBudget changes the cache byte budget, evicting as needed.
 func (s *Server) SetBudget(budgetBytes int64) {
@@ -198,8 +259,8 @@ func (s *Server) SetBudget(budgetBytes int64) {
 	s.cache.setBudget(budgetBytes)
 }
 
-// Reset drops every cached cuboid (the leaf stays). Benchmarks use it to
-// measure the cold path.
+// Reset drops every cached cuboid (a pinned leaf stays). Benchmarks use
+// it to measure the cold path.
 func (s *Server) Reset() { s.cache.reset() }
 
 // Invalidate drops one cached cuboid if resident.
@@ -256,92 +317,119 @@ func (s *Server) Query(q lattice.Mask) (*Cuboid, QueryStats, error) {
 
 // QueryCtx is Query with caller cancellation: the context is checked at
 // entry, before this query becomes the singleflight leader for a miss,
-// and while waiting on a coalesced in-flight computation. Once a
-// computation has started it always runs to completion — it serves every
-// coalesced waiter and the cache, and an in-memory derivation is short —
-// so cancelling stops a query from *starting* aggregation work or from
-// blocking on someone else's, never tears a flight other queries depend
-// on.
+// while waiting on a coalesced in-flight computation, and between the
+// chunks of a source scan. An in-memory derivation always runs to
+// completion — it serves every coalesced waiter and the cache, and it is
+// short — but a source scan is long enough to be worth tearing down, so
+// an abandoned client stops burning disk reads. A waiter whose leader was
+// torn down that way re-enters the query under its own context.
 func (s *Server) QueryCtx(ctx context.Context, q lattice.Mask) (*Cuboid, QueryStats, error) {
-	if !q.SubsetOf(s.leaf.Mask) {
-		return nil, QueryStats{}, fmt.Errorf("serve: mask %b is not a subset of the leaf %b", q, s.leaf.Mask)
+	if !q.SubsetOf(s.full) {
+		return nil, QueryStats{}, fmt.Errorf("serve: mask %b is not a subset of the leaf %b", q, s.full)
 	}
 	if err := ctx.Err(); err != nil {
 		s.canceled.Add(1)
 		return nil, QueryStats{}, err
 	}
 	s.queries.Add(1)
-	stats := QueryStats{Query: q, ServedFrom: q}
-	if q == s.leaf.Mask {
+	if s.pinned(q) {
 		s.hits.Add(1)
-		stats.CacheHit = true
-		stats.ResultCells = s.leaf.Rows()
-		return s.leaf, stats, nil
+		return s.leaf, QueryStats{Query: q, ServedFrom: q, CacheHit: true, ResultCells: s.leaf.Rows()}, nil
 	}
-	if cub, ok := s.cache.get(q); ok {
-		s.hits.Add(1)
-		stats.CacheHit = true
-		stats.ResultCells = cub.Rows()
-		s.stats.recordHit(q, cub.Rows(), cub.SizeBytes())
-		s.maybeReplan()
-		return cub, stats, nil
-	}
-
-	// Miss: coalesce with an identical in-flight computation, else
-	// become the filler for this mask.
-	s.mu.Lock()
-	if f, ok := s.inflight[q]; ok {
-		s.mu.Unlock()
-		select {
-		case <-f.done:
-		case <-ctx.Done():
-			s.canceled.Add(1)
-			return nil, QueryStats{}, ctx.Err()
+	for {
+		if cub, ok := s.cache.get(q); ok {
+			s.hits.Add(1)
+			s.stats.recordHit(q, cub.Rows(), cub.SizeBytes())
+			s.maybeReplan()
+			return cub, QueryStats{Query: q, ServedFrom: q, CacheHit: true, ResultCells: cub.Rows()}, nil
 		}
-		s.coalesced.Add(1)
-		stats = f.stats
-		stats.Coalesced = true
-		// A coalesced query is demand evidence like any hit.
-		s.stats.recordHit(q, f.cub.Rows(), f.cub.SizeBytes())
-		s.maybeReplan()
-		return f.cub, stats, nil
-	}
-	if err := ctx.Err(); err != nil {
-		// Last check before committing to the derivation.
-		s.mu.Unlock()
-		s.canceled.Add(1)
-		return nil, QueryStats{}, err
-	}
-	f := &flight{done: make(chan struct{})}
-	s.inflight[q] = f
-	s.mu.Unlock()
 
-	cub, st := s.compute(q, false, 0)
-	f.cub, f.stats = cub, st
-	s.mu.Lock()
-	delete(s.inflight, q)
-	s.mu.Unlock()
-	close(f.done)
-	s.maybeReplan()
-	return cub, st, nil
+		// Miss: coalesce with an identical in-flight computation, else
+		// become the filler for this mask.
+		s.mu.Lock()
+		if f, ok := s.inflight[q]; ok {
+			s.mu.Unlock()
+			if s.testOnWait != nil {
+				s.testOnWait()
+			}
+			select {
+			case <-f.done:
+			case <-ctx.Done():
+				s.canceled.Add(1)
+				return nil, QueryStats{}, ctx.Err()
+			}
+			if f.abandoned {
+				continue // the leader's cancellation is not ours: retry
+			}
+			s.coalesced.Add(1)
+			if f.err != nil {
+				return nil, QueryStats{}, f.err
+			}
+			stats := f.stats
+			stats.Coalesced = true
+			// A coalesced query is demand evidence like any hit.
+			s.stats.recordHit(q, f.cub.Rows(), f.cub.SizeBytes())
+			s.maybeReplan()
+			return f.cub, stats, nil
+		}
+		if err := ctx.Err(); err != nil {
+			// Last check before committing to the derivation.
+			s.mu.Unlock()
+			s.canceled.Add(1)
+			return nil, QueryStats{}, err
+		}
+		f := &flight{done: make(chan struct{})}
+		s.inflight[q] = f
+		s.mu.Unlock()
+
+		cub, st, err := s.compute(ctx, q, false, 0)
+		f.cub, f.stats, f.err = cub, st, err
+		f.abandoned = err != nil && ctx.Err() != nil
+		s.mu.Lock()
+		delete(s.inflight, q)
+		s.mu.Unlock()
+		close(f.done)
+		switch {
+		case f.abandoned:
+			s.canceled.Add(1)
+		case err != nil:
+			s.coldScans.Add(1) // a failed scan still did a scan's work
+		default:
+			s.maybeReplan()
+		}
+		return cub, st, err
+	}
 }
 
-// derive aggregates q from the smallest resident ancestor (leaf included)
-// without touching the cache's admission state. It returns the cuboid,
-// the ancestor it came from, and the cells scanned. gen is the cache
-// generation observed before any resident state was read — admissions
-// derived from this result must carry it.
-func (s *Server) derive(q lattice.Mask) (cub *Cuboid, from lattice.Mask, scanned int, gen uint64) {
+// derivation is one miss's answer and what it cost.
+type derivation struct {
+	cub *Cuboid
+	// from is the ancestor aggregated (q itself for a source scan);
+	// scanned its cell count, or the source rows streamed when cold.
+	from    lattice.Mask
+	scanned int
+	cold    bool
+	// gen is the cache generation observed before any resident state
+	// was read — admissions of this result must carry it.
+	gen uint64
+}
+
+// derive aggregates q from the smallest resident ancestor (a pinned leaf
+// included) without touching the cache's admission state; a
+// source-backed server with no covering ancestor scans the source.
+func (s *Server) derive(ctx context.Context, q lattice.Mask) (derivation, error) {
 	// Capture the cache generation before reading any resident state: if
-	// a Reset or Invalidate lands while we aggregate, the admission below
-	// is rejected instead of resurrecting a cuboid the invalidation was
+	// a Reset or Invalidate lands while we aggregate, the admission is
+	// rejected instead of resurrecting a cuboid the invalidation was
 	// meant to drop. The served answer itself stays valid — it was
 	// aggregated from the immutable leaf or an immutable ancestor copy.
-	gen = s.cache.generation()
+	d := derivation{gen: s.cache.generation()}
 
-	// Candidate ancestors: every cached cuboid plus the pinned leaf.
+	// Candidate ancestors: every cached cuboid plus a pinned leaf.
 	resident := s.cache.residentMasks(make([]maskSize, 0, 16))
-	resident = append(resident, maskSize{mask: s.leaf.Mask, rows: s.leaf.Rows()})
+	if s.leaf != nil {
+		resident = append(resident, maskSize{mask: s.full, rows: s.leaf.Rows()})
+	}
 	rows := make(map[lattice.Mask]int, len(resident))
 	masks := make([]lattice.Mask, 0, len(resident))
 	for _, ms := range resident {
@@ -350,74 +438,90 @@ func (s *Server) derive(q lattice.Mask) (cub *Cuboid, from lattice.Mask, scanned
 			masks = append(masks, ms.mask)
 		}
 	}
-	from, _ = lattice.SmallestAncestor(q, masks, func(m lattice.Mask) int { return rows[m] })
-
 	src := s.leaf
-	if from != s.leaf.Mask {
-		if c, ok := s.cache.get(from); ok {
+	if from, ok := lattice.SmallestAncestor(q, masks, func(m lattice.Mask) int { return rows[m] }); ok && !s.pinned(from) {
+		if c, live := s.cache.get(from); live {
 			src = c
-		} else {
-			// Evicted between selection and fetch; fall back to the leaf.
-			from = s.leaf.Mask
-		}
+		} // else evicted between selection and fetch: fall back
 	}
 
-	// Column positions of q's attributes within src's rows, and their
-	// cardinalities for the radix sort.
-	srcDims := src.Mask.Dims()
-	srcPos := make(map[int]int, len(srcDims))
-	for i, d := range srcDims {
+	sc := s.scratch.Get().(*relation.Scratch)
+	defer s.scratch.Put(sc)
+	if src == nil {
+		cub, n, err := s.coldScan(ctx, q, sc)
+		if err != nil {
+			return derivation{}, err
+		}
+		d.cub, d.from, d.scanned, d.cold = cub, q, int(n), true
+		return d, nil
+	}
+	cols, cards := s.projection(src.Mask, q)
+	d.cub, d.from, d.scanned = aggregateFrom(src, q, cols, cards, sc), src.Mask, src.Rows()
+	return d, nil
+}
+
+// projection returns, for each attribute of q in ascending order, its
+// column index within a cuboid of mask src (q ⊆ src) and its code
+// cardinality for the radix sort.
+func (s *Server) projection(src, q lattice.Mask) (cols, cards []int) {
+	srcPos := make(map[int]int, src.Count())
+	for i, d := range src.Dims() {
 		srcPos[d] = i
 	}
 	qDims := q.Dims()
-	cols := make([]int, len(qDims))
-	cards := make([]int, len(qDims))
+	cols = make([]int, len(qDims))
+	cards = make([]int, len(qDims))
 	for i, d := range qDims {
 		cols[i] = srcPos[d]
 		cards[i] = s.cards[d]
 	}
-
-	sc := s.scratch.Get().(*relation.Scratch)
-	cub = aggregateFrom(src, q, cols, cards, sc)
-	s.scratch.Put(sc)
-	return cub, from, src.Rows(), gen
+	return cols, cards
 }
 
-// compute aggregates q from the smallest resident ancestor and admits the
-// result into the cache. Background fills (the adaptive planner's
-// materializations) record into the stats table as fills — not demand —
-// and admit with the planner's score instead of the admission score.
-func (s *Server) compute(q lattice.Mask, background bool, planScore float64) (*Cuboid, QueryStats) {
-	stats := QueryStats{Query: q}
-	cub, from, scanned, gen := s.derive(q)
-	rows, size := cub.Rows(), cub.SizeBytes()
+// compute derives q and admits the result into the cache. Background
+// fills (the adaptive planner's materializations) record into the stats
+// table as fills — not demand — and admit with the planner's score
+// instead of the admission score.
+func (s *Server) compute(ctx context.Context, q lattice.Mask, background bool, planScore float64) (*Cuboid, QueryStats, error) {
+	d, err := s.derive(ctx, q)
+	if err != nil {
+		return nil, QueryStats{}, err
+	}
+	rows, size := d.cub.Rows(), d.cub.SizeBytes()
+	stats := QueryStats{Query: q, ServedFrom: d.from, ResultCells: rows}
+	if d.cold {
+		stats.ColdScan, stats.RowsScanned = true, int64(d.scanned)
+		s.rowsScanned.Add(stats.RowsScanned)
+	} else {
+		stats.CellsScanned = d.scanned
+	}
 
 	score := planScore
 	if background {
 		s.bgFills.Add(1)
-		s.stats.recordFill(q, rows, size, scanned)
+		s.stats.recordFill(q, rows, size, d.scanned)
 	} else {
-		if from == s.leaf.Mask {
+		switch {
+		case d.cold:
+			s.coldScans.Add(1)
+		case s.pinned(d.from):
 			s.leafAggs.Add(1)
-		} else {
+		default:
 			s.ancAggs.Add(1)
 		}
-		s.stats.recordMiss(q, rows, size, scanned)
-		score = admissionScore(s.stats.demand(q), scanned, rows, size)
+		s.stats.recordMiss(q, rows, size, d.scanned)
+		score = admissionScore(s.stats.demand(q), d.scanned, rows, size)
 	}
 
 	if s.testBeforeAdmit != nil {
 		s.testBeforeAdmit()
 	}
 
-	stats.ServedFrom = from
-	stats.CellsScanned = scanned
-	stats.ResultCells = rows
-	stats.Admitted, stats.Evicted = s.cache.add(q, cub, gen, score)
+	stats.Admitted, stats.Evicted = s.cache.add(q, d.cub, d.gen, score)
 	if background && stats.Admitted {
 		s.bgAdmitted.Add(1)
 	}
-	return cub, stats
+	return d.cub, stats, nil
 }
 
 // fill is one background materialization: compute q and admit it with the
@@ -428,7 +532,7 @@ func (s *Server) compute(q lattice.Mask, background bool, planScore float64) (*C
 // mask that is already resident, already being computed, or belongs to a
 // retired server is skipped.
 func (s *Server) fill(q lattice.Mask, score float64) {
-	if s.retired.Load() || q == s.leaf.Mask || !q.SubsetOf(s.leaf.Mask) {
+	if s.retired.Load() || s.pinned(q) || !q.SubsetOf(s.full) {
 		return
 	}
 	if s.cache.peek(q) {
@@ -443,8 +547,7 @@ func (s *Server) fill(q lattice.Mask, score float64) {
 	s.inflight[q] = f
 	s.mu.Unlock()
 
-	cub, st := s.compute(q, true, score)
-	f.cub, f.stats = cub, st
+	f.cub, f.stats, f.err = s.compute(context.Background(), q, true, score)
 	s.mu.Lock()
 	delete(s.inflight, q)
 	s.mu.Unlock()
@@ -488,8 +591,8 @@ func (s *Server) Replan() {
 
 	res := planAdaptive(planInput{
 		stats:    s.stats.snapshot(),
-		leafMask: s.leaf.Mask,
-		leafRows: s.leaf.Rows(),
+		leafMask: s.full,
+		leafRows: s.leafRows(),
 		cards:    s.cards,
 		budget:   s.Budget(),
 		seed:     opt.Seed,
@@ -535,7 +638,7 @@ func (s *Server) Resident() []*Cuboid { return s.cache.resident() }
 func (s *Server) Warm(cubs []*Cuboid) {
 	for i := len(cubs) - 1; i >= 0; i-- {
 		cub := cubs[i]
-		if cub.Mask == s.leaf.Mask {
+		if s.pinned(cub.Mask) {
 			continue
 		}
 		s.cache.add(cub.Mask, cub, s.cache.generation(), infScore)
@@ -550,19 +653,18 @@ func (s *Server) Warm(cubs []*Cuboid) {
 // the mask *set*, not the caller's order. Crash recovery uses it to
 // rebuild the warm set recorded in the last commit marker. The
 // computations record into the stats table as background fills, not
-// demand; duplicate masks and the leaf are ignored.
+// demand; duplicate masks and a pinned leaf are ignored, and a mask whose
+// source scan fails is reported as skipped.
 func (s *Server) Precompute(masks []lattice.Mask) (admitted int, skipped []lattice.Mask) {
 	type pre struct {
-		mask    lattice.Mask
-		cub     *Cuboid
-		gen     uint64
-		scanned int
-		score   float64
+		mask  lattice.Mask
+		d     derivation
+		score float64
 	}
 	seen := make(map[lattice.Mask]bool, len(masks))
 	var todo []pre
 	for _, q := range masks {
-		if q == s.leaf.Mask || seen[q] || !q.SubsetOf(s.leaf.Mask) {
+		if s.pinned(q) || seen[q] || !q.SubsetOf(s.full) {
 			continue
 		}
 		seen[q] = true
@@ -570,15 +672,17 @@ func (s *Server) Precompute(masks []lattice.Mask) (admitted int, skipped []latti
 			admitted++
 			continue
 		}
-		cub, _, scanned, gen := s.derive(q)
+		d, err := s.derive(context.Background(), q)
+		if err != nil {
+			skipped = append(skipped, q)
+			continue
+		}
 		s.bgFills.Add(1)
-		s.stats.recordFill(q, cub.Rows(), cub.SizeBytes(), scanned)
+		s.stats.recordFill(q, d.cub.Rows(), d.cub.SizeBytes(), d.scanned)
 		todo = append(todo, pre{
-			mask:    q,
-			cub:     cub,
-			gen:     gen,
-			scanned: scanned,
-			score:   admissionScore(1, s.leaf.Rows(), cub.Rows(), cub.SizeBytes()),
+			mask:  q,
+			d:     d,
+			score: admissionScore(1, s.leafRows(), d.cub.Rows(), d.cub.SizeBytes()),
 		})
 	}
 	sort.Slice(todo, func(a, b int) bool {
@@ -588,7 +692,7 @@ func (s *Server) Precompute(masks []lattice.Mask) (admitted int, skipped []latti
 		return todo[a].mask < todo[b].mask
 	})
 	for _, p := range todo {
-		ok, _ := s.cache.add(p.mask, p.cub, p.gen, p.score)
+		ok, _ := s.cache.add(p.mask, p.d.cub, p.d.gen, p.score)
 		if ok {
 			admitted++
 			s.bgAdmitted.Add(1)
@@ -644,11 +748,15 @@ func (s *Server) Stats() Metrics {
 	m.Canceled = s.canceled.Load()
 	m.LeafAggregations = s.leafAggs.Load()
 	m.AncestorAggregations = s.ancAggs.Load()
-	m.Computes = m.LeafAggregations + m.AncestorAggregations
+	m.ColdScans = s.coldScans.Load()
+	m.RowsScanned = s.rowsScanned.Load()
+	m.Computes = m.LeafAggregations + m.AncestorAggregations + m.ColdScans
 	m.BackgroundFills = s.bgFills.Load()
 	m.BackgroundAdmitted = s.bgAdmitted.Load()
 	m.Replans = s.replans.Load()
-	m.LeafBytes = s.leaf.SizeBytes()
+	if s.leaf != nil {
+		m.LeafBytes = s.leaf.SizeBytes()
+	}
 	m.Policy = s.opt.Load().Policy.String()
 	return m
 }

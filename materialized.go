@@ -3,7 +3,6 @@ package icebergcube
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -38,11 +37,10 @@ import (
 // Safe for concurrent queries; Append/Delete/Commit may run concurrently
 // with queries (writes are serialized internally).
 type Materialized struct {
-	ds    *Dataset
-	dims  []int
-	attrs []string
-	pos   map[string]int // attribute name → materialized position
-	cube  *ingest.Cube
+	servedDims
+	ds   *Dataset
+	dims []int
+	cube *ingest.Cube
 
 	// ext extends the dataset's dictionary with values first seen by
 	// Append: per materialized position, codes ≥ ext[p].base decode
@@ -114,19 +112,25 @@ func publicSnapshot(s ingest.Snapshot) Snapshot {
 
 // ServeStats reports how one Answer was served — which resident cuboid
 // the rewrite picked, whether it was a cache hit, and how much work the
-// miss cost.
+// miss cost. Both tiers report it: ColdCube answers carry Version 0.
 type ServeStats struct {
 	// ServedFrom names the attributes of the resident cuboid the answer
-	// was aggregated from (the query's own attributes on a cache hit; all
-	// materialized dimensions when the leaf had to be rescanned).
+	// was aggregated from (the query's own attributes on a cache hit or a
+	// cold scan; all materialized dimensions when the leaf had to be
+	// rescanned).
 	ServedFrom []string
 	// CacheHit reports the cuboid was already resident — no aggregation.
 	CacheHit bool
 	// Coalesced reports this query waited on an identical concurrent miss
 	// instead of computing its own copy.
 	Coalesced bool
-	// CellsScanned is the number of ancestor cells aggregated (0 on a
-	// hit).
+	// ColdScan reports the answer was streamed from the segment store (no
+	// resident ancestor covered the query); RowsScanned counts the rows
+	// it read.
+	ColdScan    bool
+	RowsScanned int64
+	// CellsScanned is the number of ancestor cells aggregated (0 on a hit
+	// or a cold scan).
 	CellsScanned int
 	// Admitted reports the computed cuboid was retained in the cache.
 	Admitted bool
@@ -134,10 +138,10 @@ type ServeStats struct {
 	Version uint64
 }
 
-// CacheMetrics are the serving layer's cumulative counters. Traffic
-// counters accumulate across snapshots (a commit swaps the serving state
-// but does not reset observability); occupancy fields describe the
-// current version's cache.
+// CacheMetrics are the serving layer's cumulative counters, for either
+// tier. Traffic counters accumulate across snapshots (a commit swaps the
+// serving state but does not reset observability); occupancy fields
+// describe the current version's cache.
 type CacheMetrics struct {
 	// Queries, CacheHits and Coalesced count Answer traffic: total,
 	// answered from a resident cuboid, and piggybacked on a concurrent
@@ -148,11 +152,14 @@ type CacheMetrics struct {
 	// Canceled counts queries abandoned by context cancellation before an
 	// answer was produced.
 	Canceled int64
-	// LeafAggregations and AncestorAggregations split the misses by
-	// source: full leaf rescans vs aggregations from a smaller cached
-	// ancestor.
+	// LeafAggregations, AncestorAggregations and ColdScans split the
+	// misses by source: full leaf rescans, aggregations from a smaller
+	// cached ancestor, and segment-store scans (ColdCube only).
+	// RowsScanned totals the rows those scans streamed.
 	LeafAggregations     int64
 	AncestorAggregations int64
+	ColdScans            int64
+	RowsScanned          int64
 	// Evictions, ResidentBytes, ResidentCuboids and BudgetBytes describe
 	// the byte-budgeted cuboid cache (the pinned leaf is excluded and
 	// never evicted). ResidentBytes never exceeds BudgetBytes.
@@ -169,6 +176,34 @@ type CacheMetrics struct {
 	// Policy names the current snapshot's admission policy ("lru" or
 	// "adaptive").
 	Policy string
+	// IO is the measured read-side cost of all cold scans (ColdCube only).
+	IO SegmentIOStats
+}
+
+// cacheMetrics folds serving counters into CacheMetrics: traffic summed
+// over every server, occupancy from the last (current) one.
+func cacheMetrics(servers []serve.Metrics) CacheMetrics {
+	var out CacheMetrics
+	for _, s := range servers {
+		out.Queries += s.Queries
+		out.CacheHits += s.CacheHits
+		out.Coalesced += s.Coalesced
+		out.Canceled += s.Canceled
+		out.LeafAggregations += s.LeafAggregations
+		out.AncestorAggregations += s.AncestorAggregations
+		out.ColdScans += s.ColdScans
+		out.RowsScanned += s.RowsScanned
+		out.Evictions += s.Evictions
+		out.BackgroundFills += s.BackgroundFills
+		out.BackgroundAdmitted += s.BackgroundAdmitted
+		out.Replans += s.Replans
+	}
+	cur := servers[len(servers)-1]
+	out.ResidentBytes = cur.ResidentBytes
+	out.ResidentCuboids = cur.ResidentCuboids
+	out.BudgetBytes = cur.BudgetBytes
+	out.Policy = cur.Policy
+	return out
 }
 
 // CachePolicy selects the serving cache's admission policy.
@@ -291,7 +326,7 @@ func (m *Materialized) CuboidStats() []CuboidStat {
 	out := make([]CuboidStat, len(rows))
 	for i, r := range rows {
 		out[i] = CuboidStat{
-			Attrs:           m.maskAttrs(r.Mask),
+			Attrs:           m.names(r.Mask.Dims()),
 			Hits:            r.Hits,
 			Misses:          r.Misses,
 			BackgroundFills: r.BackgroundFills,
@@ -332,12 +367,10 @@ func Materialize(ds *Dataset, dims []string, workers int) (*Materialized, error)
 		return nil, err
 	}
 	attrs := make([]string, len(idx))
-	pos := make(map[string]int, len(idx))
 	cards := make([]int, len(idx))
 	ext := make([]extDim, len(idx))
 	for i, d := range idx {
 		attrs[i] = ds.rel.Name(d)
-		pos[attrs[i]] = i
 		cards[i] = ds.rel.Card(d)
 		ext[i] = extDim{base: cards[i], codes: make(map[string]uint32)}
 	}
@@ -362,10 +395,9 @@ func Materialize(ds *Dataset, dims []string, workers int) (*Materialized, error)
 	}
 
 	return &Materialized{
+		servedDims:        newServedDims(attrs),
 		ds:                ds,
 		dims:              idx,
-		attrs:             attrs,
-		pos:               pos,
 		cube:              ingest.New(leaf, rowKeys, meas, cards, 0),
 		ext:               ext,
 		PrecomputeSeconds: rep.Makespan,
@@ -385,27 +417,12 @@ func (m *Materialized) ResetCache() { m.cube.Current().Srv.Reset() }
 // CacheMetrics returns the serving layer's cumulative counters, summed
 // across snapshots (see the type's doc).
 func (m *Materialized) CacheMetrics() CacheMetrics {
-	var out CacheMetrics
 	views := m.cube.Views()
-	for _, v := range views {
-		s := v.Srv.Stats()
-		out.Queries += s.Queries
-		out.CacheHits += s.CacheHits
-		out.Coalesced += s.Coalesced
-		out.Canceled += s.Canceled
-		out.LeafAggregations += s.LeafAggregations
-		out.AncestorAggregations += s.AncestorAggregations
-		out.Evictions += s.Evictions
-		out.BackgroundFills += s.BackgroundFills
-		out.BackgroundAdmitted += s.BackgroundAdmitted
-		out.Replans += s.Replans
+	servers := make([]serve.Metrics, len(views))
+	for i, v := range views {
+		servers[i] = v.Srv.Stats()
 	}
-	cur := views[len(views)-1].Srv.Stats()
-	out.ResidentBytes = cur.ResidentBytes
-	out.ResidentCuboids = cur.ResidentCuboids
-	out.BudgetBytes = cur.BudgetBytes
-	out.Policy = cur.Policy
-	return out
+	return cacheMetrics(servers)
 }
 
 // RetainSnapshots drops all but the newest keep committed versions
@@ -550,21 +567,119 @@ func (m *Materialized) decodeValue(p int, code uint32) string {
 	return m.ext[p].values[int(code)-m.ext[p].base]
 }
 
-// resolveGroupBy maps groupBy names to ascending materialized positions
-// and the cuboid mask, rejecting unknown and duplicate attributes.
-func (m *Materialized) resolveGroupBy(groupBy []string) ([]int, lattice.Mask, error) {
+// servedDims names a served cube's dimensions by serving position.
+// Materialized and ColdCube share it, and with it one group-by resolver
+// and one answer path.
+type servedDims struct {
+	attrs []string
+	pos   map[string]int // attribute name → serving position
+}
+
+func newServedDims(attrs []string) servedDims {
+	pos := make(map[string]int, len(attrs))
+	for i, a := range attrs {
+		pos[a] = i
+	}
+	return servedDims{attrs: attrs, pos: pos}
+}
+
+// resolve maps groupBy names to the cuboid mask, rejecting unknown and
+// duplicate attributes.
+func (d *servedDims) resolve(groupBy []string) (lattice.Mask, error) {
 	var mask lattice.Mask
 	for _, name := range groupBy {
-		p, ok := m.pos[name]
+		p, ok := d.pos[name]
 		if !ok {
-			return nil, 0, fmt.Errorf("icebergcube: %q is not a materialized dimension", name)
+			return 0, fmt.Errorf("icebergcube: %q is not a dimension of this cube", name)
 		}
 		if mask.Has(p) {
-			return nil, 0, fmt.Errorf("icebergcube: duplicate group-by attribute %q", name)
+			return 0, fmt.Errorf("icebergcube: duplicate group-by attribute %q", name)
 		}
 		mask |= 1 << uint(p)
 	}
-	return mask.Dims(), mask, nil
+	return mask, nil
+}
+
+// names renders serving positions (a mask's Dims) as attribute names.
+func (d *servedDims) names(dims []int) []string {
+	names := make([]string, len(dims))
+	for i, p := range dims {
+		names[i] = d.attrs[p]
+	}
+	return names
+}
+
+// Attrs returns the dimension names in serving order.
+func (d *servedDims) Attrs() []string { return append([]string(nil), d.attrs...) }
+
+// answer serves one group-by from srv, the server of snapshot version,
+// and streams the cells meeting minSupport to yield in ascending
+// value-tuple order, rendering position p's codes through decode. A
+// non-nil error from yield aborts the iteration and is returned verbatim.
+func (d *servedDims) answer(ctx context.Context, srv *serve.Server, version uint64, groupBy []string, minSupport int64,
+	decode func(p int, code uint32) string, yield func(Cell) error) (ServeStats, error) {
+	if minSupport < 1 {
+		minSupport = 1
+	}
+	mask, err := d.resolve(groupBy)
+	if err != nil {
+		return ServeStats{}, err
+	}
+	cub, qs, err := srv.QueryCtx(ctx, mask)
+	if err != nil {
+		return ServeStats{}, err
+	}
+	stats := ServeStats{
+		ServedFrom:   d.names(qs.ServedFrom.Dims()),
+		CacheHit:     qs.CacheHit,
+		Coalesced:    qs.Coalesced,
+		ColdScan:     qs.ColdScan,
+		RowsScanned:  qs.RowsScanned,
+		CellsScanned: qs.CellsScanned,
+		Admitted:     qs.Admitted,
+		Version:      version,
+	}
+	order := mask.Dims()
+	attrs := d.names(order)
+	cond := agg.MinSupport(minSupport)
+	for i := 0; i < cub.Rows(); i++ {
+		st := cub.States[i]
+		if !cond.Holds(st) {
+			continue
+		}
+		values := make([]string, len(order))
+		if cub.Width > 0 {
+			for j, c := range cub.Row(i) {
+				values[j] = decode(order[j], c)
+			}
+		}
+		cell := Cell{
+			Attrs:  attrs,
+			Values: values,
+			Count:  st.Count,
+			Sum:    st.Value(agg.Sum),
+			Min:    st.Value(agg.Min),
+			Max:    st.Value(agg.Max),
+			Avg:    st.Value(agg.Avg),
+		}
+		if err := yield(cell); err != nil {
+			return stats, err
+		}
+	}
+	return stats, nil
+}
+
+// collectCells runs a streaming answer and gathers its cells.
+func collectCells(each func(yield func(Cell) error) (ServeStats, error)) ([]Cell, ServeStats, error) {
+	cells := []Cell{}
+	stats, err := each(func(c Cell) error {
+		cells = append(cells, c)
+		return nil
+	})
+	if err != nil {
+		return nil, ServeStats{}, err
+	}
+	return cells, stats, nil
 }
 
 // Answer computes one iceberg group-by from the materialized cuboid at
@@ -627,169 +742,16 @@ func (m *Materialized) AnswerStatsAt(version uint64, groupBy []string, minSuppor
 
 // answerView serves one group-by from one pinned snapshot.
 func (m *Materialized) answerView(ctx context.Context, v *ingest.View, groupBy []string, minSupport int64) ([]Cell, ServeStats, error) {
-	cells := []Cell{}
-	stats, err := m.answerViewEach(ctx, v, groupBy, minSupport, func(c Cell) error {
-		cells = append(cells, c)
-		return nil
+	return collectCells(func(yield func(Cell) error) (ServeStats, error) {
+		return m.answerViewEach(ctx, v, groupBy, minSupport, yield)
 	})
-	if err != nil {
-		return nil, ServeStats{}, err
-	}
-	return cells, stats, nil
 }
 
 // answerViewEach serves one group-by from one pinned snapshot, streaming
 // qualifying cells to yield instead of accumulating them.
 func (m *Materialized) answerViewEach(ctx context.Context, v *ingest.View, groupBy []string, minSupport int64, yield func(Cell) error) (ServeStats, error) {
-	if minSupport < 1 {
-		minSupport = 1
-	}
-	order, mask, err := m.resolveGroupBy(groupBy)
-	if err != nil {
-		return ServeStats{}, err
-	}
-	cub, qs, err := v.Srv.QueryCtx(ctx, mask)
-	if err != nil {
-		return ServeStats{}, err
-	}
-	attrs := make([]string, len(order))
-	for i, p := range order {
-		attrs[i] = m.attrs[p]
-	}
-	stats := ServeStats{
-		ServedFrom:   m.maskAttrs(qs.ServedFrom),
-		CacheHit:     qs.CacheHit,
-		Coalesced:    qs.Coalesced,
-		CellsScanned: qs.CellsScanned,
-		Admitted:     qs.Admitted,
-		Version:      v.Version,
-	}
-	cond := agg.MinSupport(minSupport)
-	for i := 0; i < cub.Rows(); i++ {
-		st := cub.States[i]
-		if !cond.Holds(st) {
-			continue
-		}
-		values := make([]string, len(order))
-		if cub.Width > 0 {
-			for j, c := range cub.Row(i) {
-				values[j] = m.decodeValue(order[j], c)
-			}
-		}
-		cell := Cell{
-			Attrs:  attrs,
-			Values: values,
-			Count:  st.Count,
-			Sum:    st.Value(agg.Sum),
-			Min:    st.Value(agg.Min),
-			Max:    st.Value(agg.Max),
-			Avg:    st.Value(agg.Avg),
-		}
-		if err := yield(cell); err != nil {
-			return stats, err
-		}
-	}
-	return stats, nil
-}
-
-// maskAttrs renders a serving mask as attribute names.
-func (m *Materialized) maskAttrs(mask lattice.Mask) []string {
-	dims := mask.Dims()
-	names := make([]string, len(dims))
-	for i, p := range dims {
-		names[i] = m.attrs[p]
-	}
-	return names
-}
-
-// invalidate drops one group-by from the current snapshot's serving
-// cache; benchmarks use it to measure the miss path repeatedly.
-func (m *Materialized) invalidate(groupBy []string) error {
-	_, mask, err := m.resolveGroupBy(groupBy)
-	if err != nil {
-		return err
-	}
-	m.cube.Current().Srv.Invalidate(mask)
-	return nil
-}
-
-// answerLeafRescan is the pre-serving-layer Answer: rescan every cell of
-// the current snapshot's leaf through a string-keyed map, whatever the
-// query shape. It is kept as the differential reference the oracle suite
-// and the serving benchmarks compare against.
-func (m *Materialized) answerLeafRescan(groupBy []string, minSupport int64) ([]Cell, error) {
-	if minSupport < 1 {
-		minSupport = 1
-	}
-	order, _, err := m.resolveGroupBy(groupBy)
-	if err != nil {
-		return nil, err
-	}
-	attrs := make([]string, len(order))
-	for i, p := range order {
-		attrs[i] = m.attrs[p]
-	}
-
-	// Aggregate the leaf cuboid's cells onto the requested attributes.
-	leaf := m.cube.Current().Srv.Leaf()
-	groups := make(map[string]agg.State)
-	for i := 0; i < leaf.Rows(); i++ {
-		key := leaf.Row(i)
-		sub := make([]byte, 4*len(order))
-		for j, p := range order {
-			v := key[p]
-			sub[4*j] = byte(v)
-			sub[4*j+1] = byte(v >> 8)
-			sub[4*j+2] = byte(v >> 16)
-			sub[4*j+3] = byte(v >> 24)
-		}
-		g, ok := groups[string(sub)]
-		if !ok {
-			g = agg.NewState()
-		}
-		g.Merge(leaf.States[i])
-		groups[string(sub)] = g
-	}
-
-	keys := make([][]uint32, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, results.DecodeKey(k))
-	}
-	sort.Slice(keys, func(a, b int) bool { return results.CompareTuples(keys[a], keys[b]) < 0 })
-	cond := agg.MinSupport(minSupport)
-	cells := make([]Cell, 0, len(keys))
-	for _, codes := range keys {
-		buf := make([]byte, 4*len(codes))
-		for i, v := range codes {
-			buf[4*i] = byte(v)
-			buf[4*i+1] = byte(v >> 8)
-			buf[4*i+2] = byte(v >> 16)
-			buf[4*i+3] = byte(v >> 24)
-		}
-		st := groups[string(buf)]
-		if !cond.Holds(st) {
-			continue
-		}
-		values := make([]string, len(codes))
-		for i, c := range codes {
-			values[i] = m.decodeValue(order[i], c)
-		}
-		cells = append(cells, Cell{
-			Attrs:  attrs,
-			Values: values,
-			Count:  st.Count,
-			Sum:    st.Value(agg.Sum),
-			Min:    st.Value(agg.Min),
-			Max:    st.Value(agg.Max),
-			Avg:    st.Value(agg.Avg),
-		})
-	}
-	return cells, nil
+	return m.answer(ctx, v.Srv, v.Version, groupBy, minSupport, m.decodeValue, yield)
 }
 
 // NumCells returns the current snapshot's leaf cell count.
 func (m *Materialized) NumCells() int { return m.cube.Current().Srv.Leaf().Rows() }
-
-// Attrs returns the materialized dimension names in cube order — the
-// same contract as ColdCube.Attrs.
-func (m *Materialized) Attrs() []string { return append([]string(nil), m.attrs...) }

@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"path"
-	"sync"
 
 	"icebergcube/internal/agg"
 	"icebergcube/internal/core"
-	"icebergcube/internal/lattice"
 	"icebergcube/internal/relation"
 	"icebergcube/internal/results"
 	"icebergcube/internal/segment"
@@ -117,89 +115,23 @@ func dictOnlyDataset(tab *segment.Table) *Dataset {
 	return newDataset(relation.New(tab.Names(), tab.Cards()), dictFromTable(tab))
 }
 
-// coldTable adapts a segment table to the serving layer's ColdSource,
-// accumulating measured I/O across scans.
-type coldTable struct {
-	tab *segment.Table
-	mu  sync.Mutex
-	io  segment.IOStats
-}
-
-func (c *coldTable) Width() int { return len(c.tab.Names()) }
-func (c *coldTable) Rows() int  { return int(c.tab.Rows()) }
-
-func (c *coldTable) Scan(dims []int, yield func(cols [][]uint32, meas []float64) error) error {
-	var st segment.IOStats
-	cols := dims
-	if cols == nil {
-		cols = []int{}
-	}
-	dense := make([][]uint32, len(dims))
-	err := c.tab.Scan(segment.ScanOptions{Cols: cols, Meas: true, Stats: &st}, func(ch *segment.Chunk) error {
-		for i, d := range dims {
-			dense[i] = ch.Cols[d]
-		}
-		return yield(dense, ch.Meas)
-	})
-	c.mu.Lock()
-	c.io.Add(st)
-	c.mu.Unlock()
-	return err
-}
-
-func (c *coldTable) stats() segment.IOStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.io
-}
-
 // ColdCube answers group-by queries over a flushed segment table without
 // loading the leaf into memory: resident cuboids live in a byte-budgeted
-// cache, misses aggregate from the smallest resident ancestor, and only
-// when no ancestor covers the query is the cold store streamed — reading
-// just the queried columns. Safe for concurrent queries.
+// LRU cache, misses aggregate from the smallest resident ancestor, and
+// only when no ancestor covers the query is the cold store streamed —
+// reading just the queried columns. It is the serving engine of
+// Materialized with the leaf left on disk. Safe for concurrent queries.
 type ColdCube struct {
-	tab   *segment.Table
-	src   *coldTable
-	srv   *serve.ColdServer
-	ds    *Dataset
-	attrs []string
-	pos   map[string]int
+	servedDims
+	tab *segment.Table
+	src *segment.Source
+	srv *serve.Server
+	ds  *Dataset
 }
 
-// ColdServeStats reports how one cold-tier Answer was served.
-type ColdServeStats struct {
-	// ServedFrom names the resident cuboid aggregated on a warm miss (the
-	// query's own attributes on a hit or a cold scan).
-	ServedFrom []string
-	// CacheHit reports the cuboid was resident; Coalesced that the query
-	// waited on an identical concurrent miss; ColdScan that the segment
-	// store was streamed.
-	CacheHit, Coalesced, ColdScan bool
-	// RowsScanned counts cold rows streamed (0 unless ColdScan);
-	// CellsScanned ancestor cells aggregated (0 unless a warm miss).
-	RowsScanned  int64
-	CellsScanned int
-	// Admitted reports the computed cuboid was retained.
-	Admitted bool
-}
-
-// ColdCacheMetrics are a ColdCube's cumulative counters, including the
-// measured segment I/O behind every cold scan.
-type ColdCacheMetrics struct {
-	Queries              int64
-	CacheHits            int64
-	Coalesced            int64
-	Canceled             int64
-	ColdScans            int64
-	AncestorAggregations int64
-	RowsScanned          int64
-	ResidentBytes        int64
-	ResidentCuboids      int
-	BudgetBytes          int64
-	// IO is the measured read-side cost of all cold scans so far.
-	IO SegmentIOStats
-}
+// ColdServeStats reports how one cold-tier Answer was served; Version is
+// always 0.
+type ColdServeStats = ServeStats
 
 // SegmentIOStats is the measured (not simulated) read-side cost of
 // segment scans: real filesystem calls, bytes and wall seconds.
@@ -237,28 +169,19 @@ func OpenColdFS(fsys wal.FS, dir string, budgetBytes int64) (*ColdCube, error) {
 	if err != nil {
 		return nil, err
 	}
-	src := &coldTable{tab: tab}
-	srv, err := serve.NewColdServer(src, tab.Cards(), budgetBytes)
+	src := segment.NewSource(tab)
+	srv, err := serve.NewSourceServer(src, tab.Cards(), budgetBytes)
 	if err != nil {
 		return nil, err
 	}
-	attrs := tab.Names()
-	pos := make(map[string]int, len(attrs))
-	for i, n := range attrs {
-		pos[n] = i
-	}
 	return &ColdCube{
-		tab:   tab,
-		src:   src,
-		srv:   srv,
-		ds:    dictOnlyDataset(tab),
-		attrs: append([]string(nil), attrs...),
-		pos:   pos,
+		servedDims: newServedDims(tab.Names()),
+		tab:        tab,
+		src:        src,
+		srv:        srv,
+		ds:         dictOnlyDataset(tab),
 	}, nil
 }
-
-// Attrs returns the table's dimension names.
-func (c *ColdCube) Attrs() []string { return append([]string(nil), c.attrs...) }
 
 // Rows returns the table's row count.
 func (c *ColdCube) Rows() int64 { return c.tab.Rows() }
@@ -285,105 +208,27 @@ func (c *ColdCube) AnswerCtx(ctx context.Context, groupBy []string, minSupport i
 
 // AnswerStatsCtx is AnswerCtx plus cold-serving observability.
 func (c *ColdCube) AnswerStatsCtx(ctx context.Context, groupBy []string, minSupport int64) ([]Cell, ColdServeStats, error) {
-	cells := []Cell{}
-	stats, err := c.AnswerEach(ctx, groupBy, minSupport, func(cell Cell) error {
-		cells = append(cells, cell)
-		return nil
+	return collectCells(func(yield func(Cell) error) (ServeStats, error) {
+		return c.AnswerEach(ctx, groupBy, minSupport, yield)
 	})
-	if err != nil {
-		return nil, ColdServeStats{}, err
-	}
-	return cells, stats, nil
 }
 
 // AnswerEach streams the qualifying cells of one group-by to yield, one
 // at a time in ascending value-tuple order, without materializing the
 // []Cell slice — same contract as Materialized.AnswerEach.
 func (c *ColdCube) AnswerEach(ctx context.Context, groupBy []string, minSupport int64, yield func(Cell) error) (ColdServeStats, error) {
-	if minSupport < 1 {
-		minSupport = 1
-	}
-	var mask lattice.Mask
-	for _, name := range groupBy {
-		p, ok := c.pos[name]
-		if !ok {
-			return ColdServeStats{}, fmt.Errorf("icebergcube: %q is not a dimension of this table", name)
-		}
-		if mask.Has(p) {
-			return ColdServeStats{}, fmt.Errorf("icebergcube: duplicate group-by attribute %q", name)
-		}
-		mask |= 1 << uint(p)
-	}
-	cub, qs, err := c.srv.QueryCtx(ctx, mask)
-	if err != nil {
-		return ColdServeStats{}, err
-	}
-	order := mask.Dims()
-	attrs := make([]string, len(order))
-	for i, p := range order {
-		attrs[i] = c.attrs[p]
-	}
-	from := qs.ServedFrom.Dims()
-	fromAttrs := make([]string, len(from))
-	for i, p := range from {
-		fromAttrs[i] = c.attrs[p]
-	}
-	stats := ColdServeStats{
-		ServedFrom:   fromAttrs,
-		CacheHit:     qs.CacheHit,
-		Coalesced:    qs.Coalesced,
-		ColdScan:     qs.ColdScan,
-		RowsScanned:  qs.RowsScanned,
-		CellsScanned: qs.CellsScanned,
-		Admitted:     qs.Admitted,
-	}
-	cond := agg.MinSupport(minSupport)
-	for i := 0; i < cub.Rows(); i++ {
-		st := cub.States[i]
-		if !cond.Holds(st) {
-			continue
-		}
-		values := make([]string, len(order))
-		if cub.Width > 0 {
-			for j, code := range cub.Row(i) {
-				values[j] = c.ds.decode(order[j], code)
-			}
-		}
-		cell := Cell{
-			Attrs:  attrs,
-			Values: values,
-			Count:  st.Count,
-			Sum:    st.Value(agg.Sum),
-			Min:    st.Value(agg.Min),
-			Max:    st.Value(agg.Max),
-			Avg:    st.Value(agg.Avg),
-		}
-		if err := yield(cell); err != nil {
-			return stats, err
-		}
-	}
-	return stats, nil
+	return c.answer(ctx, c.srv, 0, groupBy, minSupport, c.ds.decode, yield)
 }
 
 // ResetCache drops every cached cuboid (the next miss scans cold again).
 func (c *ColdCube) ResetCache() { c.srv.Reset() }
 
-// Metrics returns the cumulative cold-serving counters.
-func (c *ColdCube) Metrics() ColdCacheMetrics {
-	s := c.srv.Stats()
-	return ColdCacheMetrics{
-		Queries:              s.Queries,
-		CacheHits:            s.CacheHits,
-		Coalesced:            s.Coalesced,
-		Canceled:             s.Canceled,
-		ColdScans:            s.ColdScans,
-		AncestorAggregations: s.AncestorAggregations,
-		RowsScanned:          s.RowsScanned,
-		ResidentBytes:        s.ResidentBytes,
-		ResidentCuboids:      s.ResidentCuboids,
-		BudgetBytes:          s.BudgetBytes,
-		IO:                   publicIOStats(c.src.stats()),
-	}
+// Metrics returns the cumulative cold-serving counters, including the
+// measured segment I/O behind every cold scan.
+func (c *ColdCube) Metrics() CacheMetrics {
+	m := cacheMetrics([]serve.Metrics{c.srv.Stats()})
+	m.IO = publicIOStats(c.src.IOStats())
+	return m
 }
 
 // OutOfCoreStats reports what one ComputeOutOfCore run did. All I/O
